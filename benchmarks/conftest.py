@@ -1,7 +1,8 @@
 """Benchmark configuration.
 
 Every bench regenerates one table or figure of the paper at a scaled-
-down corpus size (see EXPERIMENTS.md) and prints the rows it produced.
+down corpus size (see docs/EXPERIMENTS.md) and prints the rows it
+produced.
 ``benchmark.pedantic(..., rounds=1)`` is used throughout: the units of
 work are whole experiments, not micro-kernels.
 

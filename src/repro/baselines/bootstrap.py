@@ -71,7 +71,8 @@ class BootstrapActiveLearner:
     ----------
     k : int
         Committee size. The paper sets k=100; the scaled-down default
-        here is 10 (documented in EXPERIMENTS.md), configurable back up.
+        here is 10 (documented in docs/EXPERIMENTS.md), configurable
+        back up.
     batch_size : int
         Labels queried per iteration.
     n_initial : int

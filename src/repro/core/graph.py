@@ -10,9 +10,11 @@ Pairwise analysis is the O(P²·F) hot loop of construction, so the
 graph keeps one :class:`~repro.core.signatures.ProblemSignature` per
 problem (sorted columns, self-CDFs, histograms, stds computed once) and
 evaluates edges with the tests' vectorized ``signature_similarity``
-kernels. Computed pair similarities are memoized in a pair cache that
-survives :meth:`remove_problem`, so ``sel_cov`` re-insertions and
-repeated reclustering never repeat a comparison.
+kernels. Edges and computed pair similarities live in one dense,
+slot-indexed :class:`~repro.core.weight_store.WeightStore`; a removed
+problem keeps its slot and cached pairs while its feature matrix lives,
+so ``sel_cov`` re-insertions and repeated reclustering never repeat a
+comparison.
 
 Two mechanisms keep *insertion* sublinear in graph size at scale:
 
@@ -53,7 +55,7 @@ import weakref
 
 import numpy as np
 
-from ..graphcluster import CLUSTERING_ALGORITHMS, Graph, incremental_leiden
+from ..graphcluster import CLUSTERING_ALGORITHMS, incremental_leiden
 from .config import DEFAULT_INDEX_THRESHOLD, check_index_settings
 from .distribution import make_distribution_test
 from .problem import ERProblem
@@ -65,13 +67,9 @@ from .signatures import (
     supports_signatures,
 )
 from .sketch_index import SketchIndex
+from .weight_store import WeightStore
 
 __all__ = ["ERProblemGraph", "JournalEntry"]
-
-
-def _pair_key(key_a, key_b):
-    """Order-independent cache key for a pair of problem keys."""
-    return (key_a, key_b) if key_a <= key_b else (key_b, key_a)
 
 
 class JournalEntry:
@@ -125,9 +123,9 @@ class ERProblemGraph:
         Object with ``problem_similarity(features_a, features_b)`` or a
         Table 3 short name (``"ks"``, ``"wd"``, ``"psi"``, ``"c2st"``).
     min_similarity : float
-        Edges below this weight are omitted; 0.0 keeps every positive
-        similarity (the default — Leiden handles dense graphs fine at
-        this scale).
+        Edges at or below this weight are omitted; 0.0 (the default)
+        keeps every positive similarity. Must be ``>= 0``: a weight of
+        0.0 means "no edge".
     use_signatures : bool
         Evaluate edges through per-problem signatures and the memoized
         pair cache (the default). ``False`` preserves the naive path
@@ -161,6 +159,8 @@ class ERProblemGraph:
         check_index_settings(use_index, index_threshold)
         if n_candidates < 0:
             raise ValueError("n_candidates must be >= 0")
+        if not min_similarity >= 0:
+            raise ValueError("min_similarity must be >= 0")
         self.test = test
         self.min_similarity = min_similarity
         self.use_signatures = bool(use_signatures) and supports_signatures(test)
@@ -173,7 +173,9 @@ class ERProblemGraph:
         self._cache_pairs = self.use_signatures and getattr(
             test, "symmetric", False
         )
-        self.graph = Graph()
+        #: Edge weights and the memoized pair cache (see
+        #: :class:`~repro.core.weight_store.WeightStore`).
+        self.graph = WeightStore()
         # Mutation journal: entries cover versions
         # (_journal_offset, _journal_offset + len(_journal)]; bulk
         # construction advances the offset without entries.
@@ -186,8 +188,6 @@ class ERProblemGraph:
         self.stats = {"pair_evals": 0, "sketch_rows_built": 0}
         self._problems = {}
         self._signatures = SignatureStore(signature_cache_size)
-        self._pair_cache = {}
-        self._pairs_by_key = {}
         # key -> weakref of the feature matrix its cached pairs were
         # computed against; validates re-insertions independently of the
         # LRU signature store (eviction must not purge valid pairs).
@@ -237,22 +237,25 @@ class ERProblemGraph:
         # Asymmetric tests (C2ST) skip the matrix kernel: only the lower
         # triangle is consumed, and pairwise_similarities would have to
         # evaluate both orientations.
-        matrix = None
         if getattr(instance.test, "symmetric", False):
-            matrix = pairwise_similarities(signatures, instance.test)
-        instance.stats["pair_evals"] += len(keys) * (len(keys) - 1) // 2
-        for i, key_i in enumerate(keys):
-            for j in range(i):
-                if matrix is not None:
-                    similarity = float(matrix[i, j])
-                else:
-                    similarity = instance.test.signature_similarity(
+            lower = np.tril(pairwise_similarities(signatures, instance.test), -1)
+        else:
+            lower = np.zeros((len(keys), len(keys)))
+            for i in range(len(keys)):
+                for j in range(i):
+                    lower[i, j] = instance.test.signature_similarity(
                         signatures[i], signatures[j]
                     )
-                if instance._cache_pairs:
-                    instance._remember_pair(key_i, keys[j], similarity)
-                if similarity > instance.min_similarity:
-                    instance.graph.add_edge(key_i, keys[j], similarity)
+        instance.stats["pair_evals"] += len(keys) * (len(keys) - 1) // 2
+        similarities = lower + lower.T
+        pairs = None
+        if instance._cache_pairs:
+            pairs = similarities.copy()
+            np.fill_diagonal(pairs, np.nan)
+        instance.graph.assign(
+            np.where(similarities > instance.min_similarity, similarities, 0.0),
+            pairs,
+        )
         return instance
 
     def add_problem(self, problem):
@@ -277,12 +280,16 @@ class ERProblemGraph:
         others = self._problems
         if signature is not None and self._prefilter_active():
             others = self._candidate_problems(signature)
+        cached = None
+        if self._cache_pairs:
+            cached = self.graph.pairs(key, list(others)).tolist()
         edges = {}
-        for other_key, other in others.items():
+        computed = {}
+        for i, (other_key, other) in enumerate(others.items()):
             if signature is not None:
                 similarity = None
-                if self._cache_pairs:
-                    similarity = self._pair_cache.get(_pair_key(key, other_key))
+                if cached is not None and not math.isnan(cached[i]):
+                    similarity = cached[i]
                 if similarity is None:
                     other_signature = self._signatures.signature(
                         other_key, other.features
@@ -291,16 +298,17 @@ class ERProblemGraph:
                         signature, other_signature
                     )
                     self.stats["pair_evals"] += 1
-                    if self._cache_pairs:
-                        self._remember_pair(key, other_key, similarity)
+                    computed[other_key] = similarity
             else:
                 similarity = self.test.problem_similarity(
                     problem.features, other.features
                 )
                 self.stats["pair_evals"] += 1
             if similarity > self.min_similarity:
-                self.graph.add_edge(key, other_key, similarity)
                 edges[other_key] = float(similarity)
+        if self._cache_pairs:
+            self.graph.set_pairs(key, list(computed), list(computed.values()))
+        self.graph.set_edges(key, list(edges), list(edges.values()))
         self._problems[key] = problem
         self._journal.append(JournalEntry(JournalEntry.INSERT, key, edges))
         if self.use_signatures:
@@ -353,36 +361,45 @@ class ERProblemGraph:
                 candidates = existing
             candidates = list(candidates) + keys[:i]
             self.graph.add_node(key)
-            edges = {}
-            uncached, uncached_signatures = [], []
-            for other_key in candidates:
-                similarity = None
-                if self._cache_pairs:
-                    similarity = self._pair_cache.get(_pair_key(key, other_key))
-                if similarity is None:
-                    uncached.append(other_key)
-                    row = batch_rows.get(other_key)
-                    uncached_signatures.append(
-                        signatures[row] if row is not None
-                        else self._signatures.signature(
-                            other_key, self._problems[other_key].features
-                        )
-                    )
-                elif similarity > self.min_similarity:
-                    self.graph.add_edge(key, other_key, similarity)
-                    edges[other_key] = float(similarity)
+            cached = np.full(len(candidates), np.nan)
+            if self._cache_pairs:
+                cached = self.graph.pairs(key, candidates)
+            # Edges from cached pairs first, then the computed ones, each
+            # in candidate order (the journal entry keeps this order).
+            edges = {
+                other_key: similarity
+                for other_key, similarity in zip(candidates, cached.tolist())
+                if similarity > self.min_similarity
+            }
+            uncached = [
+                other_key
+                for other_key, missing in zip(candidates, np.isnan(cached))
+                if missing
+            ]
             if uncached:
-                similarities = search_similarities(
-                    self.test, signature, uncached_signatures
+                uncached_signatures = [
+                    signatures[batch_rows[other_key]]
+                    if other_key in batch_rows
+                    else self._signatures.signature(
+                        other_key, self._problems[other_key].features
+                    )
+                    for other_key in uncached
+                ]
+                similarities = np.asarray(
+                    search_similarities(
+                        self.test, signature, uncached_signatures
+                    ),
+                    dtype=float,
                 )
                 self.stats["pair_evals"] += len(uncached)
-                for other_key, similarity in zip(uncached, similarities):
-                    similarity = float(similarity)
-                    if self._cache_pairs:
-                        self._remember_pair(key, other_key, similarity)
+                if self._cache_pairs:
+                    self.graph.set_pairs(key, uncached, similarities)
+                for other_key, similarity in zip(
+                    uncached, similarities.tolist()
+                ):
                     if similarity > self.min_similarity:
-                        self.graph.add_edge(key, other_key, similarity)
                         edges[other_key] = similarity
+            self.graph.set_edges(key, list(edges), list(edges.values()))
             self._problems[key] = problem
             self._journal.append(
                 JournalEntry(JournalEntry.INSERT, key, edges)
@@ -401,12 +418,8 @@ class ERProblemGraph:
         """
         if key not in self._problems:
             raise KeyError(f"no ER problem {key} in the graph")
-        edges = {
-            other: float(weight)
-            for other, weight in self.graph.neighbors(key).items()
-            if other != key
-        }
-        self.graph.remove_node(key)
+        edges = self.graph.neighbors(key)
+        self.graph.remove_node(key, keep_slot=self._cache_pairs)
         del self._problems[key]
         self._journal.append(JournalEntry(JournalEntry.REMOVE, key, edges))
         self._sketch_index.discard(key)
@@ -546,7 +559,7 @@ class ERProblemGraph:
         ``(key_a, key_b)`` orientation.
         """
         if self._cache_pairs:
-            cached = self._pair_cache.get(_pair_key(key_a, key_b))
+            cached = self.graph.pair(key_a, key_b)
             if cached is not None:
                 return cached
         problem_a = self._problems[key_a]
@@ -557,7 +570,7 @@ class ERProblemGraph:
                 self._signatures.signature(key_b, problem_b.features),
             )
             if self._cache_pairs:
-                self._remember_pair(key_a, key_b, similarity)
+                self.graph.set_pairs(key_a, [key_b], [similarity])
         else:
             similarity = self.test.problem_similarity(
                 problem_a.features, problem_b.features
@@ -566,40 +579,30 @@ class ERProblemGraph:
         return similarity
 
     def _validate_pair_cache(self, key, features):
-        """Purge ``key``'s memoized pairs unless they were computed
+        """Forget ``key``'s memoized pairs unless they were computed
         against this exact feature matrix (identity via weakref, so an
         LRU-evicted signature does not invalidate valid pairs). The
-        weakref's death callback evicts the key's pairs outright: once
-        the matrix is garbage the cache can never be validated again,
-        which bounds the pair cache to problems whose data is alive.
+        weakref's death callback releases a removed key's slot
+        outright: once the matrix is garbage the cache can never be
+        validated again, which bounds the pair cache to problems whose
+        data is alive.
         """
         if not self._cache_pairs:
             return
         witness = self._pair_witness.get(key)
         if witness is None or witness() is not features:
-            self._purge_pairs(key)
+            self.graph.forget_pairs(key)
             self._pair_witness[key] = weakref.ref(
                 features,
                 lambda ref, key=key: self._drop_dead_witness(key, ref),
             )
 
     def _drop_dead_witness(self, key, ref):
+        # A vertex's own problem keeps its witness alive, so the key
+        # is a removed one: its slot goes back to the free list.
         if self._pair_witness.get(key) is ref:
-            self._purge_pairs(key)
             del self._pair_witness[key]
-
-    def _remember_pair(self, key_a, key_b, similarity):
-        self._pair_cache[_pair_key(key_a, key_b)] = similarity
-        self._pairs_by_key.setdefault(key_a, set()).add(key_b)
-        self._pairs_by_key.setdefault(key_b, set()).add(key_a)
-
-    def _purge_pairs(self, key):
-        """Drop every memoized pair involving ``key``."""
-        for partner in self._pairs_by_key.pop(key, ()):
-            self._pair_cache.pop(_pair_key(key, partner), None)
-            partners = self._pairs_by_key.get(partner)
-            if partners:
-                partners.discard(key)
+            self.graph.release(key)
 
     # -- persistence -------------------------------------------------------
 
@@ -615,8 +618,7 @@ class ERProblemGraph:
         persisted (their witness matrices don't survive the process
         anyway).
         """
-        keys = list(self._problems)
-        rows = {key: i for i, key in enumerate(keys)}
+        rows = {key: i for i, key in enumerate(self._problems)}
         meta = {
             "min_similarity": self.min_similarity,
             "use_signatures": self.use_signatures,
@@ -654,25 +656,17 @@ class ERProblemGraph:
                     signature = ProblemSignature(problem.features)
                 arrays[f"sig_sorted_{i}"] = signature.sorted_columns
                 arrays[f"sig_cdf_{i}"] = signature.self_cdf
-        edge_rows, edge_weights = [], []
-        for u, v, weight in self.graph.edges():
-            edge_rows.append((rows[u], rows[v]))
-            edge_weights.append(weight)
-        arrays["edge_rows"] = np.asarray(
-            edge_rows, dtype=np.int64
-        ).reshape(-1, 2)
-        arrays["edge_weights"] = np.asarray(edge_weights, dtype=float)
-        pair_rows, pair_values = [], []
-        for (key_a, key_b), value in self._pair_cache.items():
-            row_a = rows.get(key_a)
-            row_b = rows.get(key_b)
-            if row_a is not None and row_b is not None:
-                pair_rows.append((row_a, row_b))
-                pair_values.append(value)
-        arrays["pair_rows"] = np.asarray(
-            pair_rows, dtype=np.int64
-        ).reshape(-1, 2)
-        arrays["pair_values"] = np.asarray(pair_values, dtype=float)
+        # The store's vertex order is the problem order, so its matrix
+        # positions are the snapshot's problem rows.
+        _, weights, _, _ = self.graph.dense()
+        upper = np.triu(np.ones(weights.shape, dtype=bool), 1)
+        edge_rows = np.argwhere(upper & (weights > 0))
+        arrays["edge_rows"] = edge_rows.astype(np.int64).reshape(-1, 2)
+        arrays["edge_weights"] = weights[edge_rows[:, 0], edge_rows[:, 1]]
+        pairs = self.graph.dense_pairs()
+        pair_rows = np.argwhere(upper & ~np.isnan(pairs))
+        arrays["pair_rows"] = pair_rows.astype(np.int64).reshape(-1, 2)
+        arrays["pair_values"] = pairs[pair_rows[:, 0], pair_rows[:, 1]]
         if self._prefilter_active():
             self._sync_sketch_index()
             ids, sketch_rows = self._sketch_index.export_rows()
@@ -736,19 +730,11 @@ class ERProblemGraph:
                         key, ref
                     ),
                 )
-        for (row_u, row_v), weight in zip(
-            arrays["edge_rows"], arrays["edge_weights"]
-        ):
-            instance.graph.add_edge(
-                keys[int(row_u)], keys[int(row_v)], float(weight)
-            )
+        instance.graph.set_block(arrays["edge_rows"], arrays["edge_weights"])
         if instance._cache_pairs:
-            for (row_a, row_b), value in zip(
-                arrays["pair_rows"], arrays["pair_values"]
-            ):
-                instance._remember_pair(
-                    keys[int(row_a)], keys[int(row_b)], float(value)
-                )
+            instance.graph.set_block(
+                arrays["pair_rows"], pairs=arrays["pair_values"]
+            )
         if "sketch_rows" in arrays:
             instance._sketch_index.bulk_load(
                 [keys[int(row)] for row in arrays["sketch_order"]],
@@ -823,16 +809,12 @@ class ERProblemGraph:
             )
             return [set(community) for community in communities]
         func = CLUSTERING_ALGORITHMS[algorithm]
-        if algorithm == "girvan_newman":
-            communities = func(self.graph)
-        elif algorithm == "leiden":
+        if algorithm in ("leiden", "louvain"):
             communities = func(
                 self.graph, resolution=resolution, random_state=random_state
             )
-        elif algorithm == "louvain":
-            communities = func(
-                self.graph, resolution=resolution, random_state=random_state
-            )
+        elif algorithm == "girvan_newman":
+            communities = func(self.graph.to_graph())
         else:
-            communities = func(self.graph, random_state=random_state)
+            communities = func(self.graph.to_graph(), random_state=random_state)
         return [set(community) for community in communities]

@@ -291,7 +291,7 @@ def load_benchmark(name, scale=1.0, random_state=0, ratio_init=0.5):
     name : {"dexter", "wdc-computer", "music"}
     scale : float
         Multiplies entity population and per-problem pair caps; 1.0 is
-        the scaled-down default documented in EXPERIMENTS.md.
+        the scaled-down default documented in docs/EXPERIMENTS.md.
     random_state : int
     ratio_init : float
         Fraction of ER problems used to initialise the repository

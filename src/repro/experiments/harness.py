@@ -7,8 +7,8 @@ unsolved problems :math:`\\mathcal{P_U}`. Runtime covers training-data
 selection, model training and classification.
 
 Budgets and corpus sizes are scaled down relative to the paper (see
-EXPERIMENTS.md); the harness exposes them as parameters so any larger
-configuration can be re-run.
+docs/EXPERIMENTS.md); the harness exposes them as parameters so any
+larger configuration can be re-run.
 """
 
 from __future__ import annotations

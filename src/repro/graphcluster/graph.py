@@ -1,15 +1,17 @@
 """Lightweight weighted undirected graph.
 
-The ER problem similarity graph :math:`G_P` (§4.3) and the record match
-graphs used by Almser are both instances of this structure. It is a thin
-adjacency-dict graph tuned for the operations community detection needs:
-neighbour iteration, strengths, subgraphs and aggregation.
+The record match graphs used by Almser are instances of this structure
+(the ER problem similarity graph :math:`G_P` keeps a dense weight store
+instead, see :mod:`repro.core.weight_store`). It is a thin
+adjacency-dict graph: neighbour iteration, strengths and subgraphs.
+Louvain and Leiden copy it into a dense matrix in node-insertion order
+(:mod:`repro.graphcluster.dense`).
 
 Node strengths and the total edge weight are maintained incrementally
 (updated in O(1) per mutation), so ``strength`` and ``total_weight``
-are constant-time: the local-move and modularity hot loops ask for them
-once per node / per call, and recomputing them by walking adjacency
-lists made every clustering pass O(edges) before it even started.
+are constant-time: the modularity pass asks for them once per node,
+and recomputing them by walking adjacency lists would make it
+O(edges · degree).
 """
 
 from __future__ import annotations
@@ -160,21 +162,6 @@ class Graph:
             for v, weight in self._adj[u].items():
                 if v in keep and v not in g._adj[u]:
                     g.add_edge(u, v, weight)
-        return g
-
-    def aggregate(self, partition):
-        """Quotient graph over ``partition`` (a ``node -> community`` map).
-
-        Edge weights between communities are summed; intra-community
-        weights become self-loops. Returns the aggregated :class:`Graph`
-        whose nodes are the community labels.
-        """
-        g = Graph()
-        for node in self._adj:
-            g.add_node(partition[node])
-        for u, v, weight in self.edges():
-            cu, cv = partition[u], partition[v]
-            g.increment_edge(cu, cv, weight)
         return g
 
     @classmethod

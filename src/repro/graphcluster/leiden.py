@@ -15,9 +15,18 @@ three phases:
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from ..ml.utils import check_random_state
+from .dense import (
+    aggregate,
+    dense_view,
+    encode_partition,
+    first_appearance,
+    move_nodes,
+    node_mask,
+    refine,
+)
 from .louvain import local_move
 from .quality import (
     communities_from_partition,
@@ -42,7 +51,8 @@ def leiden(
     Parameters
     ----------
     graph : repro.graphcluster.Graph
-        Weighted undirected graph.
+        Weighted undirected graph (or any graph with ``dense()``, such
+        as the ER problem graph's weight store).
     resolution : float
         Modularity resolution :math:`\\gamma`; larger values yield more,
         smaller communities.
@@ -65,37 +75,40 @@ def leiden(
         must be queued for the result to make sense.
     """
     rng = check_random_state(random_state)
-    # mapping: original node -> node of `current` it is represented by.
-    mapping = {node: node for node in graph.nodes()}
-    current = graph
+    keys, matrix, loops, order = dense_view(graph)
+    # mapping: original node -> node of the current level it is in.
+    mapping = np.arange(len(keys))
     if seed_partition is None:
-        partition = {node: node for node in graph.nodes()}
+        labels = np.arange(len(keys))
     else:
-        partition = {
-            node: seed_partition.get(node, node) for node in graph.nodes()
-        }
-    for level in range(max_levels):
-        partition, moved = local_move(
-            current, partition, resolution, rng,
-            nodes=queue_nodes if level == 0 else None,
+        labels, _ = encode_partition(
+            {key: seed_partition.get(key, key) for key in keys}, keys
         )
-        n_communities = len(set(partition.values()))
-        if not moved or n_communities == len(current):
+    queue_mask = None if queue_nodes is None else node_mask(keys, queue_nodes)
+    for level in range(max_levels):
+        labels, moved = move_nodes(
+            matrix, loops, labels, resolution, rng,
+            queue_mask if level == 0 else None, order=order,
+        )
+        if not moved or len(np.unique(labels)) == len(matrix):
             break
-        refined = _refine(current, partition, resolution, rng, theta)
-        for node in mapping:
-            mapping[node] = refined[mapping[node]]
-        aggregated = current.aggregate(refined)
-        # Seed the next level's local move with the *unrefined* communities
-        # (each refined community starts inside its coarse community).
-        seed = {}
-        for node in current.nodes():
-            seed[refined[node]] = partition[node]
-        current = aggregated
-        partition = seed
-    for node in mapping:
-        mapping[node] = partition[mapping[node]]
-    return communities_from_partition(mapping)
+        refined = refine(
+            matrix, loops, labels, resolution, rng, theta, order
+        )
+        refined, n_refined = first_appearance(refined)
+        mapping = refined[mapping]
+        # Seed the next level's local move with the *unrefined*
+        # communities (each refined community starts inside its coarse
+        # community).
+        seed = np.empty(n_refined, dtype=np.int64)
+        seed[refined] = labels
+        matrix, loops, order = aggregate(
+            matrix, loops, refined, n_refined, order
+        )
+        labels, _ = first_appearance(seed)
+    return communities_from_partition(
+        dict(zip(keys, labels[mapping].tolist()))
+    )
 
 
 def incremental_leiden(
@@ -184,92 +197,3 @@ def incremental_leiden(
                     graph, partition_from_communities(communities)
                 )
     return communities
-
-
-def _refine(graph, partition, resolution, rng, theta):
-    """Leiden refinement phase.
-
-    Starts from singletons and, inside each local-move community, merges
-    well-connected singleton nodes into sub-communities with a merge
-    probability proportional to ``exp(gain / theta)`` over positive-gain
-    candidates. Returns a ``node -> refined label`` map whose refined
-    communities nest inside ``partition``'s communities.
-    """
-    m = graph.total_weight()
-    refined = {node: node for node in graph.nodes()}
-    if m <= 0:
-        return refined
-
-    strengths = {node: graph.strength(node) for node in graph.nodes()}
-    communities = {}
-    for node, community in partition.items():
-        communities.setdefault(community, []).append(node)
-
-    for members in communities.values():
-        if len(members) == 1:
-            continue
-        member_set = set(members)
-        community_strength = sum(strengths[n] for n in members)
-
-        # Each node's edge weight into the rest of its community.
-        weight_into_community = {}
-        for node in members:
-            total = 0.0
-            for neighbour, weight in graph.neighbors(node).items():
-                if neighbour in member_set and neighbour != node:
-                    total += weight
-            weight_into_community[node] = total
-
-        sub_strength = {node: strengths[node] for node in members}
-        sub_size = {node: 1 for node in members}
-
-        order = list(members)
-        rng.shuffle(order)
-        for node in order:
-            if refined[node] != node or sub_size[node] != 1:
-                continue  # only still-singleton nodes may merge
-            k = strengths[node]
-            # Well-connectedness of the node w.r.t. its community.
-            threshold = resolution * k * (community_strength - k) / (2 * m)
-            if weight_into_community[node] < threshold - 1e-12:
-                continue
-
-            # Candidate sub-communities and their modularity gains.
-            weight_to = {}
-            for neighbour, weight in graph.neighbors(node).items():
-                if neighbour in member_set and neighbour != node:
-                    label = refined[neighbour]
-                    weight_to[label] = weight_to.get(label, 0.0) + weight
-            candidates = []
-            gains = []
-            for label, weight in weight_to.items():
-                if label == node:
-                    continue
-                gain = weight - resolution * k * sub_strength[label] / (2 * m)
-                if gain > 1e-12:
-                    candidates.append(label)
-                    gains.append(gain)
-            if not candidates:
-                continue
-            if theta <= 0:
-                best = max(range(len(gains)), key=gains.__getitem__)
-                choice = candidates[best]
-            else:
-                scaled = [g / theta for g in gains]
-                peak = max(scaled)
-                weights = [math.exp(s - peak) for s in scaled]
-                total = sum(weights)
-                r = rng.random() * total
-                acc = 0.0
-                choice = candidates[-1]
-                for candidate, w in zip(candidates, weights):
-                    acc += w
-                    if r <= acc:
-                        choice = candidate
-                        break
-            sub_strength[choice] += k
-            sub_size[choice] += 1
-            sub_strength[node] = 0.0
-            sub_size[node] = 0
-            refined[node] = choice
-    return refined

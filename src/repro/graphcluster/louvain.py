@@ -1,15 +1,25 @@
 """Louvain community detection (Blondel et al. 2008).
 
 Shared machinery for :mod:`repro.graphcluster.leiden`: the fast local
-move phase and graph aggregation. Louvain itself is exposed because the
-paper's pre-experiments compared Leiden against alternatives.
+move phase, here at the ``node -> label`` dict boundary over the array
+kernels of :mod:`repro.graphcluster.dense`. Louvain itself is exposed
+because the paper's pre-experiments compared Leiden against
+alternatives.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import numpy as np
 
 from ..ml.utils import check_random_state
+from .dense import (
+    aggregate,
+    dense_view,
+    encode_partition,
+    first_appearance,
+    move_nodes,
+    node_mask,
+)
 from .quality import communities_from_partition
 
 __all__ = ["louvain", "local_move"]
@@ -47,97 +57,42 @@ def local_move(graph, partition, resolution=1.0, rng=None, nodes=None,
         The mutated ``partition`` and whether any node moved.
     """
     rng = check_random_state(rng)
-    m = graph.total_weight()
-    if m <= 0:
-        return partition, False
-
-    strengths = {node: graph.strength(node) for node in graph.nodes()}
-    community_strength = {}
-    for node, community in partition.items():
-        community_strength[community] = (
-            community_strength.get(community, 0.0) + strengths[node]
-        )
-
-    if nodes is None:
-        nodes = list(graph.nodes())
-    else:
-        keep = set(nodes)
-        nodes = [node for node in graph.nodes() if node in keep]
-    rng.shuffle(nodes)
-    queue = deque(nodes)
-    queued = set(nodes)
-    moved_any = False
-    while queue:
-        node = queue.popleft()
-        queued.discard(node)
-        current = partition[node]
-        k = strengths[node]
-
-        # Weight from `node` to each adjacent community (self-loops excluded:
-        # they contribute equally to every candidate community).
-        weight_to = {}
-        for neighbour, weight in graph.neighbors(node).items():
-            if neighbour == node:
-                continue
-            community = partition[neighbour]
-            weight_to[community] = weight_to.get(community, 0.0) + weight
-        weight_to.setdefault(current, 0.0)
-
-        community_strength[current] -= k
-        best_gain = (
-            weight_to[current]
-            - resolution * k * community_strength[current] / (2 * m)
-        )
-        best_community = current
-        for community, weight in weight_to.items():
-            if community == current:
-                continue
-            gain = (
-                weight
-                - resolution * k * community_strength[community] / (2 * m)
+    keys, matrix, loops, order = dense_view(graph)
+    labels, values = encode_partition(partition, keys)
+    queue_mask = None if nodes is None else node_mask(keys, nodes)
+    on_move = None
+    if aggregates is not None:
+        def on_move(old, new, k, weight_old, weight_new, self_loop):
+            aggregates.move(
+                values[old], values[new], float(k), float(weight_old),
+                float(weight_new), float(self_loop),
             )
-            if gain > best_gain + 1e-12:
-                best_gain = gain
-                best_community = community
-        community_strength[best_community] = (
-            community_strength.get(best_community, 0.0) + k
-        )
-        if best_community != current:
-            partition[node] = best_community
-            moved_any = True
-            if aggregates is not None:
-                aggregates.move(
-                    current, best_community, k,
-                    weight_to[current], weight_to[best_community],
-                    graph.edge_weight(node, node),
-                )
-            for neighbour in graph.neighbors(node):
-                if (
-                    neighbour != node
-                    and partition[neighbour] != best_community
-                    and neighbour not in queued
-                ):
-                    queue.append(neighbour)
-                    queued.add(neighbour)
-    return partition, moved_any
+    labels, moved = move_nodes(
+        matrix, loops, labels, resolution, rng, queue_mask, on_move, order
+    )
+    if moved:
+        for key, code in zip(keys, labels.tolist()):
+            partition[key] = values[code]
+    return partition, moved
 
 
 def louvain(graph, resolution=1.0, random_state=None, max_levels=20):
     """Run Louvain; returns a list of node-set communities."""
     rng = check_random_state(random_state)
-    mapping = {node: node for node in graph.nodes()}  # original -> aggregate
-    current = graph
+    keys, matrix, loops, order = dense_view(graph)
+    mapping = np.arange(len(keys))  # original node -> aggregate node
     for _ in range(max_levels):
-        level_partition = {node: node for node in current.nodes()}
-        level_partition, moved = local_move(
-            current, level_partition, resolution, rng
+        labels, moved = move_nodes(
+            matrix, loops, np.arange(len(matrix)), resolution, rng,
+            order=order,
         )
-        for node in mapping:
-            mapping[node] = level_partition[mapping[node]]
+        labels, n_labels = first_appearance(labels)
+        mapping = labels[mapping]
         if not moved:
             break
-        aggregated = current.aggregate(level_partition)
-        if len(aggregated) == len(current):
+        if n_labels == len(matrix):
             break
-        current = aggregated
-    return communities_from_partition(mapping)
+        matrix, loops, order = aggregate(
+            matrix, loops, labels, n_labels, order
+        )
+    return communities_from_partition(dict(zip(keys, mapping.tolist())))

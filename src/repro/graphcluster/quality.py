@@ -10,6 +10,10 @@ O(edges) :func:`modularity` sweep per solve.
 
 from __future__ import annotations
 
+import numpy as np
+
+from .dense import dense_view, encode_partition, strengths_of
+
 __all__ = ["modularity", "cpm_quality", "partition_from_communities",
            "communities_from_partition", "ModularityAggregates"]
 
@@ -118,19 +122,27 @@ class ModularityAggregates:
 
     @classmethod
     def from_partition(cls, graph, partition):
-        """One O(edges) pass over ``graph`` — the full-recluster price.
+        """Per-label ``np.bincount`` sums over the graph's dense matrix
+        — the full-recluster price.
 
         ``partition`` must cover every node of ``graph``.
         """
-        intra = {}
-        strength = {}
-        for node, label in partition.items():
-            strength[label] = strength.get(label, 0.0) + graph.strength(node)
-        for u, v, weight in graph.edges():
-            label = partition[u]
-            if u == v or partition[v] == label:
-                intra[label] = intra.get(label, 0.0) + weight
-        return cls(graph.total_weight(), intra, strength)
+        keys, matrix, loops, _ = dense_view(graph)
+        labels, values = encode_partition(partition, keys)
+        n_labels = len(values)
+        strengths = strengths_of(matrix, loops)
+        inside = np.where(
+            labels[:, None] == labels[None, :], matrix, 0.0
+        ).sum(axis=1)
+        intra = 0.5 * np.bincount(
+            labels, weights=inside, minlength=n_labels
+        ) + np.bincount(labels, weights=loops, minlength=n_labels)
+        strength = np.bincount(labels, weights=strengths, minlength=n_labels)
+        return cls(
+            0.5 * float(strengths.sum()),
+            dict(zip(values, intra.tolist())),
+            dict(zip(values, strength.tolist())),
+        )
 
     def rebuild(self, graph, partition):
         """Re-derive every sum from ``graph``/``partition`` in place —

@@ -2,12 +2,15 @@
 counters, and format versioning."""
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import MoRER, adjusted_rand_index
 from tests.conftest import make_problem, make_problem_family
+from tests.fixtures.morer_snapshot.make_snapshot import outcome, probes
 
 
 def _probes(n, seed=100, prefix="X"):
@@ -162,3 +165,36 @@ def test_batch_solving_continues_after_restart(tmp_path):
         assert a.retrained == b.retrained
         assert a.new_model == b.new_model
     assert twin.counters["batch_solves"] == 1
+
+
+def test_dict_graph_snapshot_loads_with_same_decisions(tmp_path):
+    """A snapshot written while the ER problem graph was a dict graph
+    with a dict pair cache loads into the dense weight store and
+    decides exactly as the instance that wrote it did, recomputing
+    nothing it saved: no signature or sketch row before the first
+    solve, and per solve only the probe's own pairs."""
+    fixture = Path(__file__).resolve().parent / "fixtures" / "morer_snapshot"
+    shutil.copytree(fixture / "store", tmp_path / "store")
+    expected = json.loads((fixture / "expected.json").read_text())
+    twin = MoRER.load(tmp_path / "store")
+    graph = twin.problem_graph
+    assert graph.stats == {"pair_evals": 0, "sketch_rows_built": 0}
+    assert graph._signatures.builds == 0
+
+    solves, pair_evals = [], []
+    for probe in probes(700, "R", 4):
+        before = graph.stats["pair_evals"]
+        solves.append(outcome(twin.solve(probe)))
+        pair_evals.append(graph.stats["pair_evals"] - before)
+        if len(solves) == 1:  # the saved sketch matrix was bulk-loaded
+            assert graph.stats["sketch_rows_built"] == 0
+    before = graph.stats["pair_evals"]
+    solves.extend(outcome(r) for r in twin.solve_batch(probes(900, "B", 3)))
+    pair_evals.append(graph.stats["pair_evals"] - before)
+    assert solves == expected["solves"]
+    assert pair_evals == expected["pair_evals"]
+    assert graph._signatures.builds == 7  # the probes' own signatures
+    assert sorted(
+        sorted(map(list, cluster)) for cluster in twin.clusters_
+    ) == expected["clusters"]
+    assert twin.total_labels_spent() == expected["total_labels_spent"]

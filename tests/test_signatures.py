@@ -454,14 +454,16 @@ def test_graph_pair_cache_evicted_when_features_are_garbage_collected():
     problems = make_problem_family(4)
     graph = ERProblemGraph.build(problems, "ks")
     victim_key = problems[0].key
-    assert any(victim_key in pair for pair in graph._pair_cache)
+    partner_key = problems[1].key
+    assert graph.graph.pair(victim_key, partner_key) is not None
     graph.remove_problem(victim_key)
+    assert graph.graph.has_slot(victim_key)  # pairs kept for re-insertion
     graph._signatures.invalidate(victim_key)  # simulate LRU eviction
     del problems[0]
     gc.collect()
-    assert not any(victim_key in pair for pair in graph._pair_cache)
+    assert not graph.graph.has_slot(victim_key)
+    assert graph.graph.pair(victim_key, partner_key) is None
     assert victim_key not in graph._pair_witness
-    assert victim_key not in graph._pairs_by_key
 
 
 def test_graph_purges_stale_pairs_on_changed_reinsertion():
