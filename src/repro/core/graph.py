@@ -30,7 +30,10 @@ Two mechanisms keep *insertion* sublinear in graph size at scale:
   only the perturbed neighbourhood.
 
 Both are off below the threshold (and via ``use_index=False``), where
-the exact all-vertices behaviour is preserved byte for byte.
+the exact all-vertices behaviour is preserved byte for byte. What stays
+sublinear is the Python-level work: on the dense store a warm recluster
+still sums the whole matrix once (the vertex strengths) and reads one
+full row per visited vertex.
 
 Mutation journal
 ----------------

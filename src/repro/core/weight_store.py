@@ -1,19 +1,24 @@
 """Slot-indexed symmetric weight store behind the ER problem graph.
 
 :math:`G_P` is complete at the default ``min_similarity=0.0``, so it is
-kept as two dense ``capacity x capacity`` float matrices indexed by
-*slot*:
+kept as dense ``capacity x capacity`` matrices indexed by *slot*:
 
 * ``weights`` — edge weights (0.0 means no edge, the diagonal is 0);
 * ``pairs`` — memoized ``sim_p`` values (NaN means not computed), the
   pair cache that lets ``sel_cov`` re-insertions skip the distribution
-  test.
+  test;
+* ``ranks`` — ``int32`` neighbour-order keys (see below).
 
 Every vertex holds one slot. A removed vertex's edges are zeroed, but
 its slot — and the cached pair values in it — can be kept, so that a
 re-insertion of the same problem lands in the same slot with its pairs
 intact; :meth:`release` frees the slot for reuse. Capacity doubles
-when the slots run out, so memory is ``2 * 8 * capacity**2`` bytes.
+when the slots run out, so the matrices take ``(2 * 8 + 4) *
+capacity**2`` bytes of address space. Slots are taken lowest first,
+and rows and columns at or above the high-water mark (one past the
+highest slot ever taken) are never written: their weights stay zero
+and a slot's pair entries are set when it is first taken, so unused
+capacity is not resident memory.
 
 Vertices iterate in insertion order, independent of slot reuse. That
 order is the one the clustering kernels see (:meth:`dense`), so slot
@@ -22,7 +27,13 @@ neighbour order, which the kernels follow when they re-queue nodes and
 list candidate communities: a vertex's neighbours come in the order its
 edges were created — the older vertices in the order :meth:`set_edges`
 listed them when it was inserted, then the newer ones in insertion
-order.
+order. ``ranks[s, t]`` is the sort key of ``t`` among ``s``'s
+neighbours. It is kept up to date in O(capacity) per insertion: a new
+vertex gets the next insertion stamp, sees every vertex by its stamp
+and is seen by every vertex under its own stamp, and :meth:`set_edges`
+gives the listed older neighbours negative keys in list order. So
+:meth:`dense` never rebuilds the order, and while the slots are in
+insertion order it returns views, not copies.
 """
 
 from __future__ import annotations
@@ -32,6 +43,8 @@ import numpy as np
 from ..graphcluster import Graph
 
 __all__ = ["WeightStore"]
+
+_INITIAL_CAPACITY = 16
 
 
 class WeightStore:
@@ -43,17 +56,21 @@ class WeightStore:
     rows or blocks.
     """
 
-    def __init__(self, capacity=16):
-        capacity = max(int(capacity), 1)
+    def __init__(self):
+        capacity = _INITIAL_CAPACITY
         self._weights = np.zeros((capacity, capacity))
-        self._pairs = np.full((capacity, capacity), np.nan)
+        self._pairs = np.empty((capacity, capacity))
+        self._ranks = np.zeros((capacity, capacity), dtype=np.int32)
+        self._stamps = np.zeros(capacity, dtype=np.int32)
+        self._clock = 0
+        self._high = 0  # one past the highest slot ever taken
         self._live = {}   # vertex key -> slot, in insertion order
         self._slots = {}  # key -> slot for every held slot, live or not
         self._free = list(range(capacity - 1, -1, -1))
         self._vertices = None  # cached (keys, slots) of the live vertices
-        # key -> slots of its older neighbours in edge-creation order,
-        # for vertices whose edges were not created in insertion order
-        self._created = {}
+        self._dense = None     # cached dense() result
+        # vertices whose edges were not created in insertion order
+        self._created = set()
 
     @property
     def capacity(self):
@@ -62,14 +79,25 @@ class WeightStore:
     # -- slots -------------------------------------------------------------
 
     def _grow(self):
-        """Double the capacity; the new slots become free."""
+        """Double the capacity; the new slots become free. Each matrix
+        is replaced before the next is copied, so only one old matrix
+        is alive beside the new ones."""
         capacity = self.capacity
-        weights = np.zeros((2 * capacity, 2 * capacity))
+        size = 2 * capacity
+        self._dense = None  # may hold views of the old matrices
+        weights = np.zeros((size, size))
         weights[:capacity, :capacity] = self._weights
-        pairs = np.full((2 * capacity, 2 * capacity), np.nan)
+        self._weights = weights
+        pairs = np.empty((size, size))
         pairs[:capacity, :capacity] = self._pairs
-        self._weights, self._pairs = weights, pairs
-        self._free[:0] = range(2 * capacity - 1, capacity - 1, -1)
+        self._pairs = pairs
+        ranks = np.zeros((size, size), dtype=np.int32)
+        ranks[:capacity, :capacity] = self._ranks
+        self._ranks = ranks
+        stamps = np.zeros(size, dtype=np.int32)
+        stamps[:capacity] = self._stamps
+        self._stamps = stamps
+        self._free[:0] = range(size - 1, capacity - 1, -1)
 
     def add_node(self, key):
         """Make ``key`` a vertex (no-op if it is one); reuses the slot
@@ -84,17 +112,25 @@ class WeightStore:
             slot = self._free.pop()
             self._slots[key] = slot
         self._live[key] = slot
-        self._vertices = None
+        high = self._high
+        if slot >= high:  # first use: its pair row and column are unset
+            high = self._high = slot + 1
+            self._clear_pairs(slot)
+        self._clock += 1
+        self._stamps[slot] = self._clock
+        self._ranks[slot, :high] = self._stamps[:high]
+        self._ranks[:high, slot] = self._clock
+        self._vertices = self._dense = None
         return slot
 
     def remove_node(self, key, keep_slot=False):
         """Drop vertex ``key`` and its edges. With ``keep_slot`` its
         slot and cached pairs stay until :meth:`release`."""
         slot = self._live.pop(key)
-        self._vertices = None
-        self._created.pop(key, None)
-        self._weights[slot, :] = 0.0
-        self._weights[:, slot] = 0.0
+        self._vertices = self._dense = None
+        self._created.discard(key)
+        self._weights[slot, :self._high] = 0.0
+        self._weights[:self._high, slot] = 0.0
         if not keep_slot:
             self.release(key)
 
@@ -104,8 +140,7 @@ class WeightStore:
             raise ValueError(f"{key!r} is still a vertex")
         slot = self._slots.pop(key, None)
         if slot is not None:
-            self._pairs[slot, :] = np.nan
-            self._pairs[:, slot] = np.nan
+            self._clear_pairs(slot)
             self._free.append(slot)
 
     def has_slot(self, key):
@@ -117,8 +152,12 @@ class WeightStore:
         """Mark every cached pair involving ``key`` as not computed."""
         slot = self._slots.get(key)
         if slot is not None:
-            self._pairs[slot, :] = np.nan
-            self._pairs[:, slot] = np.nan
+            self._clear_pairs(slot)
+
+    def _clear_pairs(self, slot):
+        high = self._high
+        self._pairs[slot, :high] = np.nan
+        self._pairs[:high, slot] = np.nan
 
     # -- writes ------------------------------------------------------------
 
@@ -136,8 +175,10 @@ class WeightStore:
         slots = self._vertex_slots(others)
         self._weights[slot, slots] = weights
         self._weights[slots, slot] = weights
-        if np.any(np.diff(self._positions()[slots]) < 0):
-            self._created[key] = slots
+        self._ranks[slot, slots] = np.arange(-len(slots), 0)
+        if np.any(np.diff(self._stamps[slots]) < 0):
+            self._created.add(key)
+        self._dense = None
 
     def set_pairs(self, key, others, values):
         """Cache ``sim_p(key, others[i]) = values[i]``."""
@@ -161,6 +202,7 @@ class WeightStore:
             if values is not None:
                 matrix[u, v] = values
                 matrix[v, u] = values
+        self._dense = None
 
     def assign(self, weights, pairs=None):
         """Set the full weight (and pair) matrix of the vertices, in
@@ -170,6 +212,7 @@ class WeightStore:
         self._weights[block] = weights
         if pairs is not None:
             self._pairs[block] = pairs
+        self._dense = None
 
     # -- reads -------------------------------------------------------------
 
@@ -202,39 +245,24 @@ class WeightStore:
 
     def dense(self):
         """``(keys, A, loops, order)`` for the clustering kernels: the
-        vertices in insertion order, their weight matrix (a view when
-        the slots are in order), zero self-loops and the neighbour
-        order (``None`` when every vertex's is insertion order)."""
-        keys, slots = self._vertex_order()
-        n = len(keys)
-        if np.array_equal(slots, np.arange(n)):
-            matrix = self._weights[:n, :n]
-        else:
-            matrix = self._weights[np.ix_(slots, slots)]
-        order = None
-        if self._created:
-            order = np.tile(np.arange(n), (n, 1))
-            for row, older in self._older_neighbours():
-                order[row, older] = np.arange(len(older))
-        return keys, matrix, np.zeros(n), order
-
-    def _positions(self):
-        """Insertion-order position of each slot's vertex (-1: none)."""
-        _, slots = self._vertex_order()
-        position = np.full(self.capacity, -1, dtype=np.int64)
-        position[slots] = np.arange(len(slots))
-        return position
-
-    def _older_neighbours(self):
-        """``(position, positions)`` per vertex with recorded edge
-        order: its position and its older neighbours' positions in
-        edge-creation order. Newer vertices — later ones, and any that
-        took over a recorded slot — are left out."""
-        position = self._positions()
-        for key, older in self._created.items():
-            row = position[self._live[key]]
-            positions = position[older]
-            yield row, positions[(positions >= 0) & (positions < row)]
+        vertices in insertion order, their weight matrix, zero
+        self-loops and the neighbour-order keys (``None`` when every
+        vertex's neighbour order is insertion order). ``A`` and
+        ``order`` are views while the slots are in insertion order;
+        the result is cached until the next write."""
+        if self._dense is None:
+            keys, slots = self._vertex_order()
+            n = len(keys)
+            if np.array_equal(slots, np.arange(n)):
+                matrix = self._weights[:n, :n]
+                ranks = self._ranks[:n, :n]
+            else:
+                block = np.ix_(slots, slots)
+                matrix = self._weights[block]
+                ranks = self._ranks[block]
+            order = ranks if self._created else None
+            self._dense = (keys, matrix, np.zeros(n), order)
+        return self._dense
 
     def dense_pairs(self):
         """Cached pair values between the vertices, insertion order."""
@@ -284,17 +312,18 @@ class WeightStore:
         """The vertices and edges as a dict :class:`Graph` with the same
         neighbour order, for the clustering algorithms that walk
         adjacency dicts."""
-        keys, matrix, _, _ = self.dense()
-        older = dict(self._older_neighbours())
+        keys, matrix, _, order = self.dense()
         graph = Graph()
         for key in keys:
             graph.add_node(key)
         # Re-create the edges in creation order: each vertex's edges to
         # older vertices as it was inserted.
         for row, key in enumerate(keys):
-            positions = older.get(row)
-            if positions is None:
-                positions = np.flatnonzero(matrix[row, :row])
-            for column in positions.tolist():
+            columns = np.flatnonzero(matrix[row, :row])
+            if order is not None:
+                columns = columns[
+                    np.argsort(order[row, columns], kind="stable")
+                ]
+            for column in columns.tolist():
                 graph.add_edge(key, keys[column], float(matrix[row, column]))
         return graph

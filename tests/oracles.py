@@ -6,10 +6,11 @@ aggregation that :mod:`repro.graphcluster.dense` replaced. They walk
 serve as equivalence oracles: the array kernels must return the same
 partitions from the same seed (``tests/test_dense_kernels.py``).
 
-Neighbour order here is adjacency-dict order, the array kernels' is
-node-insertion order; the two agree on graphs whose edges were added in
-lexicographic order of node positions, which is how the equivalence
-suite builds its graphs.
+Neighbour order here is adjacency-dict order. The array kernels follow
+the same order through the ``order`` keys of
+:func:`~repro.graphcluster.dense.dense_view`, so the two must agree on
+any edge-insertion order; the equivalence suite adds edges in random
+order so that adjacency order differs from node order.
 """
 
 from __future__ import annotations

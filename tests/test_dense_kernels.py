@@ -257,10 +257,12 @@ def test_er_graph_clusters_like_reference_on_its_materialised_graph(
 
 
 def test_weight_store_reuses_slots_and_doubles_capacity():
-    store = WeightStore(capacity=2)
-    for key in "abc":
+    store = WeightStore()
+    initial = store.capacity
+    extra = [f"v{i}" for i in range(initial)]
+    for key in ["a", "b", "c"] + extra:
         store.add_node(key)
-    assert store.capacity == 4
+    assert store.capacity == 2 * initial
     store.set_edges("a", ["b", "c"], [0.5, 0.25])
     store.set_pairs("a", ["b"], [0.5])
     store.remove_node("a", keep_slot=True)
@@ -268,11 +270,88 @@ def test_weight_store_reuses_slots_and_doubles_capacity():
     assert store.neighbors("b") == {}
     store.add_node("a")  # same slot, pair intact, edges gone
     assert store.pair("a", "b") == 0.5
-    assert list(store.nodes()) == ["b", "c", "a"]
+    assert list(store.nodes()) == ["b", "c"] + extra + ["a"]
     store.remove_node("a")
     assert not store.has_slot("a")
     store.add_node("z")  # takes a's freed slot, with no stale pair
     assert store.pair("z", "b") is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_weight_store_neighbour_order_matches_dict_graph(seed):
+    """Random insertions (edges listed in random order), removals with
+    and without kept slots, releases and re-insertions past a capacity
+    doubling: the store's dense view and neighbour order equal a dict
+    graph's given the same edge-creation sequence, a cached view equals
+    a fresh one, and the pair cache holds exactly the pairs of held
+    slots."""
+    rng = np.random.default_rng(seed)
+    store, reference = WeightStore(), Graph()
+    removed = []
+    cached = {}  # frozenset({a, b}) -> cached pair value
+
+    def forget(key):
+        for pair in [pair for pair in cached if key in pair]:
+            del cached[pair]
+
+    for step in range(int(rng.integers(5, 60))):
+        action = rng.random()
+        live = list(reference.nodes())
+        if action < 0.2 and live:
+            key = live[int(rng.integers(len(live)))]
+            keep = bool(rng.random() < 0.5)
+            store.remove_node(key, keep_slot=keep)
+            reference.remove_node(key)
+            if keep:
+                removed.append(key)
+            else:
+                forget(key)
+        elif action < 0.3 and removed:
+            key = removed.pop(int(rng.integers(len(removed))))
+            store.release(key)
+            forget(key)
+        else:
+            if removed and rng.random() < 0.5:
+                key = removed.pop(int(rng.integers(len(removed))))
+            else:
+                key = f"p{step}"
+            others = [v for v in rng.permutation(live).tolist()
+                      if rng.random() < 0.6]
+            weights = [int(rng.integers(1, 9)) / 4 for _ in others]
+            store.add_node(key)
+            if rng.random() < 0.5:
+                store.dense()  # a cached view must not outlive the write
+            store.set_edges(key, others, weights)
+            reference.add_node(key)
+            for other, weight in zip(others, weights):
+                reference.add_edge(key, other, weight)
+            paired = [v for v in live + removed if rng.random() < 0.5]
+            values = [float(step)] * len(paired)
+            store.set_pairs(key, paired, values)
+            cached.update((frozenset((key, v)), step) for v in paired)
+        held = list(reference.nodes()) + removed
+        for key in held:
+            assert store.pairs(key, held).tolist() == pytest.approx(
+                [cached.get(frozenset((key, v)), np.nan) for v in held],
+                nan_ok=True,
+            )
+        keys, matrix, loops, order = store.dense()
+        assert store.dense() is store.dense()
+        ref_keys, ref_matrix, ref_loops, _ = dense_view(reference)
+        assert keys == ref_keys
+        assert np.array_equal(matrix, ref_matrix)
+        assert not loops.any() and not ref_loops.any()
+        for row, key in enumerate(keys):
+            neighbours = np.flatnonzero(matrix[row])
+            if order is not None:
+                neighbours = neighbours[
+                    np.argsort(order[row, neighbours], kind="stable")
+                ]
+            assert [keys[i] for i in neighbours.tolist()] == list(
+                reference.neighbors(key)
+            )
+    assert list(store.to_graph().edges()) == list(reference.edges())
 
 
 def test_weight_store_dense_follows_insertion_order_not_slots():
